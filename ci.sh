@@ -22,13 +22,37 @@ conv_conformance() {
   CONV_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
 }
 
-# `./ci.sh conv-conformance` runs just that job (fast inner loop for
-# kernel work); no argument runs the whole tier-1 gate.
-if [[ "${1:-all}" == "conv-conformance" ]]; then
-  conv_conformance
-  echo "ci: conv-conformance green"
-  exit 0
-fi
+# End-to-end benchmark (BENCHMARK.json): the e2e_bench package's own
+# self-tests, then a short vgg16-dense run through the default inference
+# path. The run's last line is its JSON result; the job fails unless
+# every output checked correct and no operation failed.
+e2e_bench() {
+  echo "== e2e-bench =="
+  cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+  local last
+  last="$(cargo run --quiet --release --offline --manifest-path e2e_bench/Cargo.toml \
+    --bin e2e_bench -- --workload vgg16-dense --seed 2 --seconds 2 --trace 0 | tail -n 1)"
+  echo "$last" | cut -c1-200
+  if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0,' <<<"$last"; then
+    echo "e2e-bench: smoke run was not correct with zero failures" >&2
+    exit 1
+  fi
+}
+
+# `./ci.sh conv-conformance` or `./ci.sh e2e-bench` runs just that job
+# (fast inner loop); no argument runs the whole tier-1 gate.
+case "${1:-all}" in
+  conv-conformance)
+    conv_conformance
+    echo "ci: conv-conformance green"
+    exit 0
+    ;;
+  e2e-bench)
+    e2e_bench
+    echo "ci: e2e-bench green"
+    exit 0
+    ;;
+esac
 
 echo "== build (release) =="
 cargo build --workspace --release
@@ -141,6 +165,8 @@ cargo test -q -p cnn-stack-nn liveness::
 MEMORY_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench memory
 
 conv_conformance
+
+e2e_bench
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

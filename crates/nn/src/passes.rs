@@ -390,9 +390,12 @@ impl AlgoChoice {
 // ~1.8. CSR pays per-nonzero index chasing (~1.2 GFLOP/s dense-equivalent
 // on its stored nonzeros), which reproduces the paper's §V finding that
 // sparse formats only win at extreme sparsity: against the packed engine
-// the crossover density is ≈ 1.2/54 ≈ 2%. The Winograd number prices the
-// current naive, allocating transform — the 2.25× MAC reduction does not
-// survive it, so the model never picks it unasked.
+// the crossover density is ≈ 1.2/54 ≈ 2%. The F(2×2) anchor prices its
+// multiply count below the per-tile kernel's measured rate
+// (BENCH_conv.json: ~6 GFLOP/s on the same count); it orders F(2×2)
+// just above direct, which is all its two roles need — zero-workspace
+// budget refuge and guard-demotion rung — since the cost model never
+// prefers it to packed im2col.
 const PACKED_GFLOPS: f64 = 54.0;
 const SCALAR_GFLOPS: f64 = 1.8;
 const SPARSE_GFLOPS: f64 = 1.2;
@@ -405,12 +408,21 @@ const WINOGRAD_GFLOPS: f64 = 0.9;
 // the NR-padded column dimension — both modelled explicitly.
 const TERNARY_GFLOPS: f64 = 48.0;
 const INT8_GFLOPS: f64 = 50.0;
-// F(4×4, 3×3) executes 4× fewer multiplies per output than direct and
-// runs them as tile-blocked frequency-wise GEMMs (BENCH_conv.json:
-// ~5 GFLOP/s on the multiply count across the VGG shapes), so its
-// anchor sits well above the per-tile scalar F(2×2) loop while staying
-// far below the packed im2col engine.
-const WINOGRAD4_GFLOPS: f64 = 4.0;
+// F(4×4, 3×3) is priced by the three stages `winograd4_conv2d_into`
+// executes, anchored on min-of-N single-thread timings at the VGG-16
+// CIFAR shapes (2-core Xeon). The 3×3→6×6 filter transforms are rebuilt
+// on every call and scattered frequency-major: ~135 ns each, 35 ms for
+// a 512×512 bank, over 30× that layer's packed im2col time. Each
+// 16-tile block of the multiply stage runs 36·oc·ic·16 MACs and streams
+// the whole 36·oc·ic bank, whether one lane or sixteen are live. Input
+// and output transforms cost ~60 ns per (tile, channel). Measured with
+// its bank stream, a block sustains ~17–24 GFLOP/s at batch 8; the
+// block anchors price it about 2× slower, the same pessimism the im2col
+// arm carries at these shapes, so the predicted F4/im2col ratios track
+// the measured ones and both pick im2col on every VGG-16 layer.
+const WINOGRAD4_FILTER_S: f64 = 135e-9;
+const WINOGRAD4_BLOCK_GFLOPS: f64 = 12.0;
+const WINOGRAD4_TILE_CHANNEL_S: f64 = 60e-9;
 // The radix-2 split-complex FFT kernel's sustained rate over plane
 // transforms + frequency-domain MACs (BENCH_conv.json, large-kernel
 // sweep). Scalar, so ~30× below the packed GEMM engine — FFT wins only
@@ -507,7 +519,24 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             eff / (gflops * 1e9) + weight_traffic / PACK_BYTES_PER_SEC
         }
         AlgoChoice::Winograd => flops / 2.25 / (WINOGRAD_GFLOPS * 1e9),
-        AlgoChoice::WinogradF4 => flops / 4.0 / (WINOGRAD4_GFLOPS * 1e9),
+        AlgoChoice::WinogradF4 => {
+            let OpKind::Conv {
+                geom, out_channels, ..
+            } = &op.kind
+            else {
+                return f64::INFINITY;
+            };
+            let bank = (out_channels * geom.in_channels) as f64;
+            let tiles = geom.out_h.div_ceil(4) * geom.out_w.div_ceil(4);
+            let blocks = batch * tiles.div_ceil(cnn_stack_tensor::WINOGRAD4_TILE_BLOCK);
+            let block_flops = 2.0 * 36.0 * bank * cnn_stack_tensor::WINOGRAD4_TILE_BLOCK as f64;
+            let per_block = block_flops / (WINOGRAD4_BLOCK_GFLOPS * 1e9)
+                + 36.0 * bank * 4.0 / PACK_BYTES_PER_SEC;
+            let tile_channels = (batch * tiles * (geom.in_channels + out_channels)) as f64;
+            bank * WINOGRAD4_FILTER_S
+                + blocks as f64 * per_block
+                + tile_channels * WINOGRAD4_TILE_CHANNEL_S
+        }
         AlgoChoice::FftConv => {
             let OpKind::Conv {
                 geom, out_channels, ..
@@ -1289,9 +1318,6 @@ mod tests {
 
     #[test]
     fn selection_picks_packed_for_dense_and_csr_for_extreme_sparsity() {
-        // out_c of 16 keeps the dense layer on the packed engine: below
-        // ~12 output channels the F(4×4) candidate's multiply saving
-        // outweighs the pack-bandwidth term and wins the stem instead.
         let mut net = Network::new(vec![
             Box::new(Conv2d::new(3, 16, 3, 1, 1, 2)),
             Box::new(Conv2d::new(16, 16, 3, 1, 1, 3)),
@@ -1323,6 +1349,28 @@ mod tests {
             .downcast_mut::<Conv2d>()
             .unwrap();
         assert_eq!(sparse_layer.format(), WeightFormat::Csr);
+    }
+
+    #[test]
+    fn winograd4_is_priced_per_tile_block() {
+        // Output planes of 1×1 to 4×4 are each one 4×4 tile, so one
+        // 16-lane block: the same multiply stage, the same bank stream
+        // and the same per-call filter transforms, whatever the plane.
+        let net = Network::new(vec![Box::new(Conv2d::new(512, 512, 3, 1, 1, 4))]).unwrap();
+        let cfg = ExecConfig::serial();
+        let priced: Vec<(f64, f64)> = (1..=4)
+            .map(|hw| {
+                let ops = crate::ir::lower(&net, &[1, 512, hw, hw], &cfg).unwrap();
+                (
+                    predicted_seconds(&ops[0], AlgoChoice::WinogradF4),
+                    predicted_seconds(&ops[0], AlgoChoice::Im2colPacked),
+                )
+            })
+            .collect();
+        for &(f4, im2col) in &priced {
+            assert_eq!(f4, priced[0].0, "one tile block per plane up to 4×4");
+            assert!(f4 > im2col, "F4 {f4} s must exceed im2col {im2col} s");
+        }
     }
 
     #[test]

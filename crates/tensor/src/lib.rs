@@ -44,4 +44,5 @@ pub use shape::Shape;
 pub use tensor::Tensor;
 pub use winograd::{
     winograd4_conv2d, winograd4_conv2d_into, winograd4_scratch_elems, winograd_conv2d,
+    WINOGRAD4_TILE_BLOCK,
 };

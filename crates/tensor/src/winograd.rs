@@ -382,8 +382,9 @@ fn transform_output4(m: &[f32; 36]) -> [f32; 16] {
 /// multiply stage runs as 36 frequency-wise `out_c×in_c×T` products,
 /// so the transformed filter bank is streamed once per batch instead
 /// of once per tile — `T = 16` amortises that traffic 16× while the
-/// per-frequency `V`/`M` panels stay L2-resident.
-const WINOGRAD4_TILE_BLOCK: usize = 16;
+/// per-frequency `V`/`M` panels stay L2-resident. A ragged last batch
+/// runs the full width on zeroed lanes, so every batch costs the same.
+pub const WINOGRAD4_TILE_BLOCK: usize = 16;
 
 /// Scratch floats [`winograd4_conv2d_into`] needs: the transformed
 /// filter bank `[36, out_c, in_c]` (frequency-major) plus one
@@ -520,43 +521,36 @@ pub fn winograd4_conv2d_into(
                     }
                 }
             }
+            // A ragged last batch zeroes its pad lanes and runs the
+            // same full-width product, so every batch costs one block.
+            // Pad lanes of `ms` are never read back, so whatever they
+            // accumulate (0·∞ included) cannot reach the output.
+            if bt < T {
+                for lane in vs.chunks_exact_mut(T) {
+                    lane[bt..].fill(0.0);
+                }
+            }
             // 36 frequency-wise products M_k = U_k · V_k
             // (out_c×in_c times in_c×T): broadcast-u over the tile
             // lane, which vectorises, and stream the filter bank once
-            // per batch instead of once per tile.
+            // per batch instead of once per tile. The T-wide
+            // accumulator is a fixed-size local so the lane loop has a
+            // compile-time trip count and stays in registers across
+            // the channel reduction.
             for k in 0..36 {
                 let uk = &u[k * oc_ic..(k + 1) * oc_ic];
                 let vk = &vs[k * in_c * T..(k + 1) * in_c * T];
                 let mk = &mut ms[k * out_c * T..(k + 1) * out_c * T];
-                if bt == T {
-                    // Full batches keep the T-wide accumulator in a
-                    // fixed-size local so the lane loop has a
-                    // compile-time trip count and stays in registers
-                    // across the channel reduction.
-                    for o in 0..out_c {
-                        let mut acc = [0.0f32; T];
-                        for c in 0..in_c {
-                            let uv = uk[o * in_c + c];
-                            let vrow: &[f32; T] =
-                                vk[c * T..(c + 1) * T].try_into().expect("full lane");
-                            for (a, vv) in acc.iter_mut().zip(vrow) {
-                                *a += uv * *vv;
-                            }
-                        }
-                        mk[o * T..(o + 1) * T].copy_from_slice(&acc);
-                    }
-                } else {
-                    for o in 0..out_c {
-                        let mrow = &mut mk[o * T..o * T + bt];
-                        mrow.fill(0.0);
-                        for c in 0..in_c {
-                            let uv = uk[o * in_c + c];
-                            let vrow = &vk[c * T..c * T + bt];
-                            for (mv, vv) in mrow.iter_mut().zip(vrow) {
-                                *mv += uv * *vv;
-                            }
+                for o in 0..out_c {
+                    let mut acc = [0.0f32; T];
+                    for c in 0..in_c {
+                        let uv = uk[o * in_c + c];
+                        let vrow: &[f32; T] = vk[c * T..(c + 1) * T].try_into().expect("full lane");
+                        for (a, vv) in acc.iter_mut().zip(vrow) {
+                            *a += uv * *vv;
                         }
                     }
+                    mk[o * T..(o + 1) * T].copy_from_slice(&acc);
                 }
             }
             // Inverse-transform every (tile, output-channel) pair and

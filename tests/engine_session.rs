@@ -11,6 +11,7 @@ use cnn_stack::nn::{ExecConfig, InferencePlan, InferenceSession, Phase};
 use cnn_stack::tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// System allocator wrapper that counts every allocation.
 struct CountingAlloc;
@@ -31,6 +32,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide and the test harness runs tests on
+/// parallel threads, so every test in this binary holds this lock: the
+/// allocation test then counts only its own session's allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn allocations_during(mut f: impl FnMut()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
@@ -42,6 +54,7 @@ fn allocations_during(mut f: impl FnMut()) -> u64 {
 /// zero heap allocations.
 #[test]
 fn vgg16_batch4_steady_state_makes_no_heap_allocations() {
+    let _serial = serial();
     let mut model = ModelKind::Vgg16.build_width(10, 0.25);
     let cfg = ExecConfig::serial();
     let input = Tensor::zeros([4, 3, 32, 32]);
@@ -76,6 +89,7 @@ fn vgg16_batch4_steady_state_makes_no_heap_allocations() {
 /// descriptor rows than profiled layers.
 #[test]
 fn session_profile_rows_align_with_descriptors() {
+    let _serial = serial();
     for kind in ModelKind::all() {
         let mut model = kind.build_width(10, 0.25);
         let input_shape = [1usize, 3, 32, 32];
@@ -136,6 +150,7 @@ fn session_profile_rows_align_with_descriptors() {
 /// path on all three paper models.
 #[test]
 fn session_bit_matches_forward_on_paper_models() {
+    let _serial = serial();
     for kind in ModelKind::all() {
         let mut model = kind.build_width(10, 0.1);
         let cfg = ExecConfig::serial();

@@ -4,6 +4,7 @@
 //! packed-GEMM fast path, weight-panel cache invalidation through
 //! residual-block accessors, and autotune cache determinism.
 
+use cnn_stack::models::vgg16;
 use cnn_stack::nn::{
     fold_batchnorm, Autotune, BatchNorm2d, Conv2d, ConvAlgorithm, ExecConfig, Flatten, FoldAndFuse,
     GuardConfig, InferencePlan, InferenceSession, Linear, MaxPool2d, Network, Phase, PlanCompiler,
@@ -348,6 +349,35 @@ fn budget_solver_prefers_winograd4_over_direct_as_refuge() {
     let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
     for (g, r) in got.data().iter().zip(want.data()) {
         assert!((g - r).abs() <= 1e-3 * scale.max(1.0));
+    }
+}
+
+/// Full-width VGG-16 at batch 1 and 8: every conv with an output plane
+/// of at most 4×4 is a single Winograd tile, so F(4×4) would run a whole
+/// 16-lane block and rebuild its filter bank for one tile. The cost
+/// model must leave all of them on another algorithm.
+#[test]
+fn standard_plan_keeps_small_vgg16_planes_off_winograd4() {
+    for batch in [1usize, 8] {
+        let mut model = vgg16(10);
+        let plan = PlanCompiler::standard()
+            .run(
+                &mut model.network,
+                &[batch, 3, 32, 32],
+                &ExecConfig::serial(),
+            )
+            .unwrap();
+        for step in plan.steps() {
+            let out = &step.output_shape;
+            let small = out.len() == 4 && out[2] <= 4 && out[3] <= 4;
+            assert!(
+                !(small && step.cfg.conv_algo == ConvAlgorithm::WinogradF4),
+                "b{batch}: {} selected winograd-f4 for a {}x{} plane",
+                step.name,
+                out[2],
+                out[3]
+            );
+        }
     }
 }
 
